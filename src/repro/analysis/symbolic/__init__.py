@@ -5,8 +5,8 @@ The pipeline (ISSUE: symbolic static analysis over the relational IR):
 1. :mod:`.skeleton` — the trace-invariant event structure of a test;
 2. :mod:`.footprint` — communication edges pinned by the final-state
    condition, plus the coherence scenarios still open;
-3. :mod:`.match` — under-approximating path-match entailment against
-   the compiled cat IR;
+3. :mod:`.match` — under-approximating entailment against the compiled
+   cat IR, each node evaluated once per cycle into bitset matrices;
 4. :mod:`.prover` — the decision procedure (:func:`static_verdict`),
    consumed by :func:`repro.herd.verdicts` and the corpus sweep;
 5. :mod:`.tables` — per-model order tables over the diy edge shapes.

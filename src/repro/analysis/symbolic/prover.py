@@ -199,34 +199,55 @@ def _cycle_shape(
     location equality, interposed-fence tags, and pinned-edge membership
     — all of which are captured here (threads and locations renamed by
     first appearance, the whole ring normalised over rotations, since
-    ``violated_check`` tries every rotation anyway).
+    ``violated_check`` tries every rotation anyway).  The pairwise facts
+    are sparse — pinned edges, and dependencies and fences between
+    same-thread positions — so they are listed rather than tabulated.
     """
     count = len(positions)
-    pair = {}
-    for i, a in enumerate(positions):
-        for j, b in enumerate(positions):
-            if i == j:
-                continue
-            same_tid = a.tid == b.tid
-            fences: tuple = ()
-            if same_tid and a.index < b.index:
-                fences = tuple(
-                    sorted(
-                        {f.tag or "" for f in skeleton.fences_between(a, b)}
-                    )
-                )
-            pair[(i, j)] = (
-                same_tid and a.index < b.index,
-                same_tid and a.index in b.addr_deps,
-                same_tid and a.index in b.data_deps,
-                same_tid and a.index in b.ctrl_deps,
-                fences,
-                (a.key, b.key) in edges.rf,
-                (a.key, b.key) in edges.co,
-                (a.key, b.key) in edges.fr,
-            )
-    descs = []
+    by_thread: Dict[int, List[int]] = {}
+    for i, event in enumerate(positions):
+        by_thread.setdefault(event.tid, []).append(i)
+    rank = [0] * count
+    facts = []
+    for members in by_thread.values():
+        indices = sorted({positions[i].index for i in members})
+        for i in members:
+            rank[i] = indices.index(positions[i].index)
+        for i in members:
+            a = positions[i]
+            for j in members:
+                b = positions[j]
+                if a.index >= b.index:
+                    continue
+                for name, deps in (
+                    ("addr", b.addr_deps),
+                    ("data", b.data_deps),
+                    ("ctrl", b.ctrl_deps),
+                ):
+                    if a.index in deps:
+                        facts.append((i, j, (name,)))
+                tags = {f.tag or "" for f in skeleton.fences_between(a, b)}
+                if tags:
+                    facts.append((i, j, ("fence",) + tuple(sorted(tags))))
+    rows: Dict[Key, List[int]] = {}
+    for i, event in enumerate(positions):
+        rows.setdefault(event.key, []).append(i)
+    for name, pinned in (("rf", edges.rf), ("co", edges.co), ("fr", edges.fr)):
+        for a, b in pinned:
+            for i in rows.get(a, ()):
+                for j in rows.get(b, ()):
+                    facts.append((i, j, (name,)))
+    # Every rotation's descriptor opens with thread 0 and location 0 (or
+    # none), so only rotations whose first event is minimal can lead.
+    heads = [
+        (event.kind, event.tag or "", -1 if event.loc is None else 0, rank[r])
+        for r, event in enumerate(positions)
+    ]
+    head = min(heads)
+    descs = {}
     for r in range(count):
+        if heads[r] != head:
+            continue
         tids: Dict[int, int] = {}
         locs: Dict[str, int] = {}
         desc = []
@@ -240,24 +261,23 @@ def _cycle_shape(
                     -1
                     if event.loc is None
                     else locs.setdefault(event.loc, len(locs)),
+                    rank[(i + r) % count],
                 )
             )
-        descs.append(tuple(desc))
+        descs[r] = tuple(desc)
     # The event descriptors almost always single out the canonical
-    # rotation; the O(n^2) pair tuple is built only for the ties.
-    lead = min(descs)
-    best = None
-    for r in range(count):
-        if descs[r] != lead:
-            continue
-        candidate = tuple(
-            pair[((i + r) % count, (j + r) % count)]
-            for i in range(count)
-            for j in range(count)
-            if i != j
+    # rotation; the facts break the remaining ties.
+    lead = min(descs.values())
+    best = min(
+        tuple(
+            sorted(
+                ((i - r) % count, (j - r) % count, fact)
+                for i, j, fact in facts
+            )
         )
-        if best is None or candidate < best:
-            best = candidate
+        for r, desc in descs.items()
+        if desc == lead
+    )
     return (lead, best)
 
 
@@ -353,6 +373,28 @@ def _find_witness(
 # The decision procedure
 
 
+def _forbidden_labels(
+    skeleton: ProgramSkeleton, footprint: Footprint, compiled: CompiledModel
+) -> Optional[str]:
+    """The violated-check label(s) proving every condition-satisfying
+    execution forbidden, or ``None``: one cycle over the guaranteed edges
+    suffices, otherwise every coherence scenario needs its own."""
+    guaranteed = guaranteed_edges(skeleton, footprint)
+    label = _forbidden_under(skeleton, guaranteed, compiled)
+    if label is not None:
+        return label
+    cases = scenarios(skeleton, footprint)
+    if cases == [guaranteed]:
+        return None
+    labels = set()
+    for case in cases:
+        label = _forbidden_under(skeleton, case, compiled)
+        if label is None:
+            return None
+        labels.add(label)
+    return "; ".join(sorted(labels))
+
+
 def decide(
     model: Model,
     program: Program,
@@ -390,8 +432,9 @@ def _decide(
     if condition is None or not isinstance(condition, (Exists, NotExists)):
         return None
     try:
-        skeleton = extract_skeleton(program)
-        footprint = resolve_footprint(skeleton, condition.body)
+        with _obs.span("static.skeleton"):
+            skeleton = extract_skeleton(program)
+            footprint = resolve_footprint(skeleton, condition.body)
     except Unsupported:
         return None
     if footprint.trivially_false:
@@ -400,28 +443,15 @@ def _decide(
         )
     compiled = compiled_model(model)
     if compiled is not None:
-        guaranteed = guaranteed_edges(skeleton, footprint)
-        label = _forbidden_under(skeleton, guaranteed, compiled)
-        if label is not None:
-            return StaticDecision(FORBID, "critical-cycle", label)
-        cases = scenarios(skeleton, footprint)
-        if cases != [guaranteed]:
-            labels = []
-            for case in cases:
-                label = _forbidden_under(skeleton, case, compiled)
-                if label is None:
-                    labels = None
-                    break
-                labels.append(label)
-            if labels is not None:
-                return StaticDecision(
-                    FORBID,
-                    "critical-cycle",
-                    "; ".join(sorted(set(labels))),
-                )
-    if _find_witness(
-        model, program, skeleton, footprint, require_sc_per_location
-    ):
+        with _obs.span("static.entail"):
+            labels = _forbidden_labels(skeleton, footprint, compiled)
+        if labels:
+            return StaticDecision(FORBID, "critical-cycle", labels)
+    with _obs.span("static.witness"):
+        found = _find_witness(
+            model, program, skeleton, footprint, require_sc_per_location
+        )
+    if found:
         return StaticDecision(ALLOW, "witness-confirmed")
     return None
 

@@ -3,28 +3,34 @@
 The end-to-end contract (soundness, coverage, drift) lives in
 ``test_static_verdicts.py``; this module pins the *mechanisms* — the
 axiom-to-order-table lowering, the condition footprint, the
-unsat-condition shortcut, and the scaling property the pre-pass exists
-for: a fence-chain family whose candidate space doubles per thread is
-decided with zero candidates enumerated.
+unsat-condition shortcut, the scaling property the pre-pass exists
+for (a fence-chain family whose candidate space doubles per thread is
+decided with zero candidates enumerated), the matrix engine's rec-group
+fixpoint and MUST/NOT interplay, and the prover's stage spans.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.catir import ir
+from repro.analysis.catir.compile import compile_source
 from repro.analysis.symbolic import decide
 from repro.analysis.symbolic.footprint import (
     guaranteed_edges,
     resolve_footprint,
 )
-from repro.analysis.symbolic.skeleton import extract_skeleton
+from repro.analysis.symbolic.match import EdgeSet, Matcher, violated_check
+from repro.analysis.symbolic.skeleton import SkelEvent, extract_skeleton
 from repro.analysis.symbolic.tables import order_table, ordered_shapes
 from repro.cat import load_model
+from repro.events import ONCE, READ, WRITE
 from repro.herd import run_litmus
 from repro.kernel import config as kconfig
 from repro.litmus import library
 from repro.litmus.parser import parse_litmus
 from repro.obs import core as obs
+from repro.tools.cli import herd_main
 
 
 def _chain(threads, middle_fence="smp_mb"):
@@ -179,3 +185,128 @@ def test_allowed_chain_witness_matches_kernel():
     with kconfig.use_static_verdict(False):
         result = run_litmus(model, program, require_sc_per_location=True)
     assert result.verdict == "Allow"
+
+
+# ---------------------------------------------------------------------------
+# Matrix entailment: rec groups, diff and compl
+
+
+#: A rec group whose proofs compose the binding with itself.
+_CHAIN_CAT = """"chain"
+let rfe = rf & ext
+let rec chain = rfe | (chain ; po ; chain)
+irreflexive chain ; po as chain-closes
+"""
+
+
+def _lb_ring(second_rf=True):
+    """LB as a hand-built ring: Wx ->rfe Rx ->po Wy ->rfe Ry ->po Wx.
+    ``second_rf=False`` leaves Wy -> Ry unpinned (a near miss)."""
+    positions = [
+        SkelEvent(0, 1, WRITE, ONCE, "x"),
+        SkelEvent(1, 0, READ, ONCE, "x"),
+        SkelEvent(1, 1, WRITE, ONCE, "y"),
+        SkelEvent(0, 0, READ, ONCE, "y"),
+    ]
+    keys = [event.key for event in positions]
+    rf = {(keys[0], keys[1])}
+    if second_rf:
+        rf.add((keys[2], keys[3]))
+    return Matcher(None, EdgeSet(rf=frozenset(rf)), positions, period=4)
+
+
+def test_rec_proof_needs_two_unfoldings():
+    """Wx -> Ry is rfe ; po ; rfe: the first Kleene iterate only knows
+    the single rfe edges, the second composes them, and only then does
+    ``chain ; po`` close the ring."""
+    compiled = compile_source(_CHAIN_CAT, "chain")
+    chain = compiled.definitions["chain"]
+    rfe = compiled.definitions["rfe"]
+    matcher = _lb_ring()
+    assert matcher.match(rfe, 0, 1) and matcher.match(rfe, 2, 3)
+    assert not matcher.match(rfe, 0, 3)
+    assert matcher.match(chain, 0, 3)  # second unfolding
+    assert matcher.match(compiled.checks[0].root, 0, 4)
+    assert violated_check(matcher, compiled.checks) == "chain-closes"
+
+
+def test_rec_near_miss_abstains():
+    compiled = compile_source(_CHAIN_CAT, "chain")
+    matcher = _lb_ring(second_rf=False)
+    assert matcher.match(compiled.definitions["chain"], 0, 1)
+    assert not matcher.match(compiled.definitions["chain"], 0, 3)
+    assert violated_check(matcher, compiled.checks) is None
+
+
+def _mp_ring():
+    # MP: Wx ->po Wy ->rf Ry ->po Rx ->fr Wx.
+    positions = [
+        SkelEvent(0, 0, WRITE, ONCE, "x"),
+        SkelEvent(0, 1, WRITE, ONCE, "y"),
+        SkelEvent(1, 0, READ, ONCE, "y"),
+        SkelEvent(1, 1, READ, ONCE, "x"),
+    ]
+    keys = [event.key for event in positions]
+    edges = EdgeSet(
+        rf=frozenset({(keys[1], keys[2])}), fr=frozenset({(keys[3], keys[0])})
+    )
+    return Matcher(None, edges, positions, period=4)
+
+
+def test_diff_needs_a_refutation():
+    """``a \\ b`` holds only where ``b`` is provably out: ``po \\ loc``
+    on a different-location po pair, never on an unrefutable ``rf``."""
+    po, loc, rf = (ir.base(name, ir.REL) for name in ("po", "loc", "rf"))
+    matcher = _mp_ring()
+    assert matcher.match(ir.diff(po, loc), 0, 1)
+    assert matcher.refute(ir.diff(po, loc), 0, 2)  # not po at all
+    assert matcher.match(rf, 1, 2)
+    assert not matcher.match(ir.diff(po, rf), 0, 1)  # rf is never refuted
+    assert matcher.refute(ir.diff(po, rf), 1, 2)  # ... but po is
+
+
+def test_compl_swaps_must_and_not():
+    po, loc, rf = (ir.base(name, ir.REL) for name in ("po", "loc", "rf"))
+    matcher = _mp_ring()
+    not_po_loc = ir.compl(ir.diff(po, loc))
+    # ~(po \ loc): in where po is out or loc is in.
+    assert matcher.match(not_po_loc, 1, 2)
+    assert matcher.match(not_po_loc, 3, 4)  # Rx -> Wx, same location
+    assert matcher.refute(not_po_loc, 0, 1)
+    # ~rf: a pinned rf edge refutes it, but nothing proves it.
+    assert matcher.refute(ir.compl(rf), 1, 2)
+    assert not any(
+        matcher.match(ir.compl(rf), i, j)
+        for i in range(8)
+        for j in range(i, min(i + 4, 7) + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Observability: one span per prover stage
+
+
+def test_prover_stage_spans():
+    model = load_model("lkmm")
+    with obs.collect() as collector:
+        decision = decide(
+            model, library.get("MP+wmb+rmb"), require_sc_per_location=True
+        )
+    assert decision.reason == "critical-cycle"
+    assert {"static.skeleton", "static.entail"} <= set(collector.spans)
+    assert "static.witness" not in collector.spans  # the proof came first
+    with obs.collect() as collector:
+        decision = decide(model, library.get("MP"), require_sc_per_location=True)
+    assert decision.reason == "witness-confirmed"
+    assert {"static.skeleton", "static.entail", "static.witness"} <= set(
+        collector.spans
+    )
+
+
+def test_herd_profile_shows_prover_spans(capsys):
+    assert herd_main(
+        ["--model", "lkmm", "--static-only", "--profile", "MP+wmb+rmb"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "static.skeleton" in out
+    assert "static.entail" in out
