@@ -17,7 +17,7 @@ pipeline the VM accelerates); the RCU row keeps the native
 reports timings split into
 
 * ``seconds_setup_*`` — model load plus one warm-up run (cat parse,
-  check-plan compile, bytecode lowering, cache priming);
+  IR compile, bytecode lowering, cache priming);
 * ``seconds_solve_*`` — best of ``SOLVE_ROUNDS`` steady-state runs, which
   is what ``speedup`` compares.
 
@@ -77,8 +77,6 @@ def _reference():
     return (
         kconfig.use_backend(kconfig.FROZENSET),
         kconfig.use_incremental(False),
-        kconfig.use_check_plan(False),
-        kconfig.use_vm(False),
         kconfig.use_static_verdict(False),
     )
 
@@ -104,14 +102,17 @@ def _measure(setup, run):
     return prepared, seconds_setup, result, best
 
 
-def _both_configs(setup, run):
-    """Run one workload under the kernel and the reference configuration."""
+def _both_configs(setup, run, reference_run=None):
+    """Run one workload under the kernel and the reference configuration
+    (with ``reference_run`` in place of ``run`` there, when given)."""
     _, setup_fast, fast, solve_fast = _measure(setup, run)
     contexts = _reference()
     try:
         for ctx in contexts:
             ctx.__enter__()
-        _, setup_ref, reference, solve_ref = _measure(setup, run)
+        _, setup_ref, reference, solve_ref = _measure(
+            setup, reference_run or run
+        )
     finally:
         for ctx in reversed(contexts):
             ctx.__exit__(None, None, None)
@@ -139,7 +140,7 @@ def _run_litmus_workload(name):
     program = library.get(name)
 
     def setup():
-        # Model construction, cat parse, check-plan compile and bytecode
+        # Model construction, cat parse, IR compile and bytecode
         # lowering all happen on the warm-up run.
         model = load_model("lkmm")
         run_litmus(model, program, require_sc_per_location=True)
@@ -175,7 +176,18 @@ def _run_library_sweep():
     def run(models):
         return verdicts(models, programs, require_sc_per_location=True)
 
-    kernel, reference = _both_configs(setup, run)
+    def exhaustive_run(models):
+        # The reference keeps the exhaustive scan: every candidate
+        # enumerated and checked.
+        return verdicts(
+            models,
+            programs,
+            require_sc_per_location=True,
+            stop_when_decided=False,
+            verdict_only=False,
+        )
+
+    kernel, reference = _both_configs(setup, run, exhaustive_run)
     fast, ref = kernel[0], reference[0]
     assert fast == ref
     parallel = verdicts(
@@ -233,8 +245,8 @@ def _run_static_prepass():
     The timed workload is the ISA2 fence-chain family, where the
     asymmetry the pre-pass exploits is structural: enumeration must
     visit a candidate space that doubles with every thread, while the
-    critical-cycle proof grows by two positions (and is a table lookup
-    once the shape is known).  The library assertions ride along
+    critical-cycle proof grows by two positions (one bitset-matrix
+    entailment per cycle).  The library assertions ride along
     untimed: the verdict tables must be identical either way, and
     ``static_decided`` (the acceptance counter) must be non-zero."""
     from repro.obs import core as obs_core

@@ -8,9 +8,9 @@ hash-consed relational IR and builds three things on top of it:
   ``repro-lint`` reports alongside the surface lint;
 * :mod:`repro.analysis.catir.diff` — structural model-to-model
   comparison (``repro-lint --diff-models``);
-* :mod:`repro.analysis.catir.plan` — the compiled check plan that
-  :class:`repro.cat.eval.CatModel` executes by default
-  (``REPRO_CHECK_PLAN=0`` restores the statement-walking interpreter).
+* :mod:`repro.analysis.catir.plan` — the lowering of a compiled model
+  to the bytecode of :mod:`repro.kernel.vm`, which
+  :class:`repro.cat.eval.CatModel` runs under the ``bitset`` backend.
 
 Module map: :mod:`~repro.analysis.catir.ir` (interned nodes and smart
 constructors), :mod:`~repro.analysis.catir.facts` (ground truths about

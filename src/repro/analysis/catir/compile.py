@@ -11,7 +11,7 @@ construction; every condition under which the evaluator would raise
 compile time.
 
 ``CatIRError`` subclasses ``CatError`` on purpose: callers that fall
-back to the interpreter on compile failure (the check plan) observe
+back to the interpreter on compile failure (the VM lowering) observe
 identical behaviour either way, because the interpreter evaluates all
 value bindings eagerly and would raise the equivalent error on its first
 ``check()``.

@@ -5,7 +5,7 @@ normalize their operands (flattening, sorting, constant folding) and then
 intern the result in a process-global table, so two structurally equal
 expressions — even ones compiled from different models — are the *same*
 object and node equality is identity.  That single property powers the
-whole layer: common-subexpression elimination in the check plan is just
+whole layer: common-subexpression elimination in the VM lowering is just
 "same node", and the model-diff analyzer detects renamed-but-identical
 relations by pointer comparison.
 
@@ -21,7 +21,7 @@ candidate execution — ``x | 0 = x``, ``x & 0 = 0``, ``0 ; x = 0``,
 closure collapses like ``(x+)* = x*`` and ``[S]* = id``.  Heuristic
 facts (tag disjointness, ``po`` vs ``ext``) are deliberately *not*
 folded here: they live in :mod:`repro.analysis.catir.analyses` and can
-only ever produce warnings, never change what the check plan evaluates.
+only ever produce warnings, never change what the VM evaluates.
 
 The canonical pretty form (:attr:`Node.pstr`) is valid cat syntax: it
 parses back (``repro.cat.parser.parse_expr_text``) and recompiles to the

@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.cat import CatError
 from repro.guard import core as _guard
 from repro.litmus.ast import Program
 from repro.litmus.outcomes import Exists, Forall, NotExists
 from repro.model import Model
 from repro.obs import core as _obs
 
-from repro.analysis.catir.compile import CompiledModel, compile_statements
+from repro.analysis.catir.compile import CompiledModel
 from repro.analysis.symbolic.footprint import (
     Footprint,
     guaranteed_edges,
@@ -79,26 +78,13 @@ class StaticDecision:
 # Model IR
 
 
-#: Per-process compiled-IR cache keyed on the CatModel token; ``None``
-#: records "this model does not lower" so it is attempted only once.
-_COMPILED: Dict[int, Optional[CompiledModel]] = {}
-
-
 def compiled_model(model: Model) -> Optional[CompiledModel]:
     """The model's relational IR, or ``None`` for models that have no cat
-    statement list or whose cat dialect the IR compiler rejects."""
-    token = getattr(model, "_token", None)
-    flattened = getattr(model, "_flattened", None)
-    if token is None or flattened is None:
-        return None
-    if token in _COMPILED:
-        return _COMPILED[token]
-    try:
-        compiled = compile_statements(model._flattened(), model.name)
-    except CatError:
-        compiled = None
-    _COMPILED[token] = compiled
-    return compiled
+    statement list or whose cat dialect the IR compiler rejects.
+
+    A :class:`~repro.cat.eval.CatModel` compiles its IR once and shares
+    it with the VM lowering, so the prover reads that same object."""
+    return getattr(model, "compiled", None)
 
 
 # ---------------------------------------------------------------------------
@@ -180,107 +166,6 @@ def _cycle_positions(skeleton: ProgramSkeleton, cycle: Sequence[Key]):
     return positions
 
 
-#: Order-table memo: ``violated_check`` keyed by (compiled model,
-#: canonical cycle shape).  The matcher consults nothing beyond what the
-#: shape captures, so equal shapes provably yield equal answers — and the
-#: diy-generated corpus draws its cycles from a small shape vocabulary,
-#: which turns entailment from the dominant cost into a dict lookup.
-_SHAPE_MEMO: Dict[Tuple[int, tuple], Optional[str]] = {}
-_SHAPE_CAP = 65536
-
-
-def _cycle_shape(
-    skeleton: ProgramSkeleton, edges: EdgeSet, positions
-) -> tuple:
-    """A canonical fingerprint of one cyclic matcher query.
-
-    Complete by construction: the matcher reads, of each position, only
-    its kind/tag, thread identity, program-order rank, dependency links,
-    location equality, interposed-fence tags, and pinned-edge membership
-    — all of which are captured here (threads and locations renamed by
-    first appearance, the whole ring normalised over rotations, since
-    ``violated_check`` tries every rotation anyway).  The pairwise facts
-    are sparse — pinned edges, and dependencies and fences between
-    same-thread positions — so they are listed rather than tabulated.
-    """
-    count = len(positions)
-    by_thread: Dict[int, List[int]] = {}
-    for i, event in enumerate(positions):
-        by_thread.setdefault(event.tid, []).append(i)
-    rank = [0] * count
-    facts = []
-    for members in by_thread.values():
-        indices = sorted({positions[i].index for i in members})
-        for i in members:
-            rank[i] = indices.index(positions[i].index)
-        for i in members:
-            a = positions[i]
-            for j in members:
-                b = positions[j]
-                if a.index >= b.index:
-                    continue
-                for name, deps in (
-                    ("addr", b.addr_deps),
-                    ("data", b.data_deps),
-                    ("ctrl", b.ctrl_deps),
-                ):
-                    if a.index in deps:
-                        facts.append((i, j, (name,)))
-                tags = {f.tag or "" for f in skeleton.fences_between(a, b)}
-                if tags:
-                    facts.append((i, j, ("fence",) + tuple(sorted(tags))))
-    rows: Dict[Key, List[int]] = {}
-    for i, event in enumerate(positions):
-        rows.setdefault(event.key, []).append(i)
-    for name, pinned in (("rf", edges.rf), ("co", edges.co), ("fr", edges.fr)):
-        for a, b in pinned:
-            for i in rows.get(a, ()):
-                for j in rows.get(b, ()):
-                    facts.append((i, j, (name,)))
-    # Every rotation's descriptor opens with thread 0 and location 0 (or
-    # none), so only rotations whose first event is minimal can lead.
-    heads = [
-        (event.kind, event.tag or "", -1 if event.loc is None else 0, rank[r])
-        for r, event in enumerate(positions)
-    ]
-    head = min(heads)
-    descs = {}
-    for r in range(count):
-        if heads[r] != head:
-            continue
-        tids: Dict[int, int] = {}
-        locs: Dict[str, int] = {}
-        desc = []
-        for i in range(count):
-            event = positions[(i + r) % count]
-            desc.append(
-                (
-                    tids.setdefault(event.tid, len(tids)),
-                    event.kind,
-                    event.tag or "",
-                    -1
-                    if event.loc is None
-                    else locs.setdefault(event.loc, len(locs)),
-                    rank[(i + r) % count],
-                )
-            )
-        descs[r] = tuple(desc)
-    # The event descriptors almost always single out the canonical
-    # rotation; the facts break the remaining ties.
-    lead = min(descs.values())
-    best = min(
-        tuple(
-            sorted(
-                ((i - r) % count, (j - r) % count, fact)
-                for i, j, fact in facts
-            )
-        )
-        for r, desc in descs.items()
-        if desc == lead
-    )
-    return (lead, best)
-
-
 def _forbidden_under(
     skeleton: ProgramSkeleton, edges: EdgeSet, compiled: CompiledModel
 ) -> Optional[str]:
@@ -288,17 +173,8 @@ def _forbidden_under(
     provably inside an acyclicity axiom, else ``None``."""
     for cycle in _communication_cycles(skeleton, edges):
         positions = _cycle_positions(skeleton, cycle)
-        key = (id(compiled), _cycle_shape(skeleton, edges, positions))
-        if key in _SHAPE_MEMO:
-            label = _SHAPE_MEMO[key]
-        else:
-            matcher = Matcher(
-                skeleton, edges, positions, period=len(positions)
-            )
-            label = violated_check(matcher, compiled.checks)
-            if len(_SHAPE_MEMO) >= _SHAPE_CAP:
-                _SHAPE_MEMO.clear()
-            _SHAPE_MEMO[key] = label
+        matcher = Matcher(skeleton, edges, positions, period=len(positions))
+        label = violated_check(matcher, compiled.checks)
         if label is not None:
             return label
     return None

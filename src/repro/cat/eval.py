@@ -24,6 +24,7 @@ The builtin environment exposes:
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union as TUnion
 
@@ -34,6 +35,7 @@ from repro.executions.candidate import CandidateExecution
 from repro.executions.derived import crit_relation
 from repro.guard import core as _guard
 from repro.kernel import config as _config
+from repro.kernel import vm as _vm
 from repro.model import AxiomViolation, Model, ModelResult
 from repro.obs import core as _obs
 from repro.relations import EventSet, Relation
@@ -228,8 +230,8 @@ def check_axiom(
 ) -> Optional[AxiomViolation]:
     """Verdict for one check over an already-evaluated value.
 
-    Shared by the statement-walking interpreter and the compiled check
-    plan (:mod:`repro.analysis.catir.plan`), so the two paths cannot
+    Shared by the statement-walking interpreter and the bytecode VM
+    (:mod:`repro.kernel.vm`), so the two paths cannot
     diverge on witness construction or negation handling.  ``empty`` on
     an event set keeps set semantics (each stray event is its own
     ``(e, e)`` witness); ``acyclic``/``irreflexive`` coerce a set to its
@@ -377,11 +379,19 @@ _MODEL_TOKENS = itertools.count()
 class CatModel(Model):
     """A consistency model defined by a cat file.
 
-    On first use the statement list is flattened (includes expanded) and
-    analysed for rf/co-dependence; ``let`` bindings and checks whose value
-    cannot depend on the execution witness are then evaluated once per
-    trace combination (memoised on the execution's shared skeleton) rather
-    than once per candidate.
+    Under the ``bitset`` backend, candidates are checked by the
+    relational bytecode VM (:mod:`repro.kernel.vm`), running the model's
+    compiled IR lowered once to a :class:`~repro.kernel.vm.VMProgram`.
+    Everywhere else — the ``frozenset`` backend, a model whose IR does
+    not compile or lower, a candidate without dense relations — the
+    statement walker :meth:`_walk` answers; it is also the reference
+    oracle the equivalence tests compare the VM against.
+
+    The walker flattens the statement list (includes expanded) and
+    analyses it for rf/co-dependence on first use; ``let`` bindings and
+    checks whose value cannot depend on the execution witness are then
+    evaluated once per trace combination (memoised on the execution's
+    shared skeleton) rather than once per candidate.
     """
 
     def __init__(self, cat_file: C.CatFile, name: Optional[str] = None):
@@ -390,18 +400,15 @@ class CatModel(Model):
         self._token = next(_MODEL_TOKENS)
         self._flat: Optional[List] = None
         self._invariance: Optional[List] = None
-        #: Lazily built compiled check plan (None = unavailable); see
-        #: :meth:`_check_plan`.
-        self._plan = None
-        self._plan_tried = False
 
     def __getstate__(self):
-        # Plans hold process-global interned IR nodes whose identity-based
-        # sharing must not cross a pickle boundary (parallel shard
-        # workers); each process rebuilds its own plan on first check.
+        # The compiled IR holds process-global interned nodes whose
+        # identity-based sharing must not cross a pickle boundary
+        # (parallel shard workers): each process compiles and lowers its
+        # own copy on first use.
         state = self.__dict__.copy()
-        state["_plan"] = None
-        state["_plan_tried"] = False
+        state.pop("compiled", None)
+        state.pop("_program", None)
         return state
 
     @classmethod
@@ -434,14 +441,47 @@ class CatModel(Model):
             self._invariance = _analyse_invariance(out)
         return self._flat
 
+    @cached_property
+    def compiled(self):
+        """The model's relational IR (a :class:`~repro.analysis.catir.
+        compile.CompiledModel`), compiled once and shared by the VM
+        lowering and the symbolic prover; ``None`` when the cat dialect
+        does not compile.  A compile failure is not an error here: the
+        walker evaluates all value bindings eagerly, so its first
+        ``check()`` raises the equivalent :class:`CatError`."""
+        from repro.analysis.catir.compile import compile_statements
+
+        try:
+            return compile_statements(self._flattened(), self.name)
+        except CatError:
+            return None
+
+    @cached_property
+    def _program(self):
+        """:attr:`compiled` lowered to VM bytecode, or ``None`` when it
+        does not compile or lower."""
+        from repro.analysis.catir.plan import lower_plan
+
+        if self.compiled is None:
+            return None
+        try:
+            return lower_plan(self.compiled)
+        except CatError:
+            return None
+
     def check(self, execution: CandidateExecution) -> ModelResult:
         if _guard.ACTIVE:
             _guard._current.tick()  # budget safepoint: one per-candidate model check
-        if _config.check_plan_enabled():
-            plan = self._check_plan()
-            if plan is not None:
-                violations, flags = plan.run(execution, self.name)
-                return self._result(violations, flags)
+        outcome = None
+        if _config.use_bitset() and self._program is not None:
+            outcome = _vm.run_checks(self._program, execution, self.name)
+        if outcome is None:
+            outcome = self._walk(execution)
+        return self._result(*outcome)
+
+    def _walk(self, execution: CandidateExecution):
+        """``(violations, flags)`` by walking the statement list: the
+        reference evaluation of the model over one execution."""
         evaluator = _Evaluator(execution)
         env = builtin_environment(execution)
         violations: List[AxiomViolation] = []
@@ -465,7 +505,7 @@ class CatModel(Model):
                     violation = self._check(statement, evaluator, env, index)
                 if violation is not None:
                     (flags if statement.flag else violations).append(violation)
-        return self._result(violations, flags)
+        return violations, flags
 
     def _result(
         self, violations: List[AxiomViolation], flags: List[AxiomViolation]
@@ -477,24 +517,6 @@ class CatModel(Model):
         result = ModelResult(allowed=not violations, violations=violations)
         result.flags = flags  # informational, does not affect the verdict
         return result
-
-    def _check_plan(self):
-        """The compiled check plan, or None when the model does not
-        compile.  A compile failure is not an error here: the interpreter
-        evaluates all value bindings eagerly, so its first ``check()``
-        raises the equivalent :class:`CatError` — falling back keeps the
-        two paths observably identical."""
-        if not self._plan_tried:
-            self._plan_tried = True
-            from repro.analysis.catir.compile import compile_statements
-            from repro.analysis.catir.plan import build_plan
-
-            try:
-                compiled = compile_statements(self._flattened(), self.name)
-                self._plan = build_plan(compiled)
-            except CatError:
-                self._plan = None
-        return self._plan
 
     def _bind(
         self,

@@ -320,11 +320,10 @@ def verdicts(
     Only verdicts are exposed, so the candidate sweep early-exits once
     every verdict is final (first witness for ``exists`` tests) and the
     model check is skipped for candidates that cannot influence the
-    verdict (``verdict_only``) — part of the kernel-v2 batching, hence
-    gated on ``REPRO_KERNEL_VM`` so the opt-out lane reproduces the
-    exhaustive scan.  The defaults are resolved *here*, before the
-    serial/parallel split, keeping both paths (and their observability
-    counters) identical.
+    verdict (``verdict_only``).  Pass ``stop_when_decided=False,
+    verdict_only=False`` for the exhaustive scan.  The defaults are
+    resolved *here*, before the serial/parallel split, keeping both paths
+    (and their observability counters) identical.
 
     ``journal`` checkpoints each completed row as it lands
     (:class:`repro.guard.SweepJournal`): programs already journaled are
@@ -332,8 +331,8 @@ def verdicts(
     ``Inconclusive`` rows are reported but never journaled — they reflect
     the budget, not the test.
     """
-    kwargs.setdefault("stop_when_decided", _config.vm_enabled())
-    kwargs.setdefault("verdict_only", _config.vm_enabled())
+    kwargs.setdefault("stop_when_decided", True)
+    kwargs.setdefault("verdict_only", True)
     if jobs > 1 and len(programs) > 1:
         from repro.kernel.parallel import verdicts_parallel
 

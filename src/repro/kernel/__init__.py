@@ -9,11 +9,11 @@ A performance layer under the public ``Relation``/``EventSet``/
 * :mod:`repro.kernel.skeleton` — per-trace incremental checking: the
   trace-invariant structure of candidate executions, computed once per
   trace combination and shared across all rf×co candidates;
-* :mod:`repro.kernel.vm` — the relational bytecode VM: each compiled
-  check plan is lowered once to a flat instruction array over numbered
-  registers of raw bitset values; trace-invariant registers are computed
-  once per skeleton and shared by reference across rf×co siblings
-  (``REPRO_KERNEL_VM=1|0``, default on);
+* :mod:`repro.kernel.vm` — the relational bytecode VM, the checker of
+  every cat model under the ``bitset`` backend: each model's compiled IR
+  is lowered once to a flat instruction array over numbered registers of
+  raw bitset values; trace-invariant registers are computed once per
+  skeleton and shared by reference across rf×co siblings;
 * :mod:`repro.kernel.parallel` — a ``multiprocessing`` driver sharding
   trace combinations (and whole programs) over a worker pool, surfaced as
   ``--jobs N`` on the CLIs and ``jobs=N`` on the ``run_litmus``/
@@ -21,8 +21,8 @@ A performance layer under the public ``Relation``/``EventSet``/
   compile costs amortise over a library sweep;
 * :mod:`repro.kernel.config` — backend selection
   (``REPRO_RELATION_BACKEND=bitset|frozenset``, default ``bitset``) and
-  the incremental/plan/VM switches (``REPRO_INCREMENTAL``,
-  ``REPRO_CHECK_PLAN``, ``REPRO_KERNEL_VM``).
+  the incremental and static-verdict switches (``REPRO_INCREMENTAL``,
+  ``REPRO_STATIC_VERDICT``).
 
 The original frozenset implementation is retained as the reference
 backend; ``tests/test_kernel_equiv.py`` asserts observational equivalence
@@ -36,11 +36,8 @@ from repro.kernel.config import (
     incremental_enabled,
     set_backend,
     set_incremental,
-    set_vm,
     use_backend,
     use_incremental,
-    use_vm,
-    vm_enabled,
 )
 
 __all__ = [
@@ -50,9 +47,6 @@ __all__ = [
     "incremental_enabled",
     "set_backend",
     "set_incremental",
-    "set_vm",
     "use_backend",
     "use_incremental",
-    "use_vm",
-    "vm_enabled",
 ]

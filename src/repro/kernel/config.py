@@ -1,13 +1,17 @@
 """Runtime configuration of the execution kernel.
 
-Two independent switches, each settable via environment variable or
+Three independent switches, each settable via environment variable or
 programmatically (context managers, used by the equivalence tests and the
 benchmark harness):
 
 * ``REPRO_RELATION_BACKEND`` — ``bitset`` (default) selects the
   integer-indexed adjacency-bitset representation of
   :class:`repro.relations.Relation`; ``frozenset`` selects the original
-  pure-Python frozenset-of-pairs reference implementation.
+  pure-Python frozenset-of-pairs reference implementation.  The backend
+  also decides how :class:`repro.cat.eval.CatModel` checks a candidate:
+  the relational bytecode VM of :mod:`repro.kernel.vm` needs dense
+  bitset rows, so under ``frozenset`` the statement-walking interpreter
+  answers instead.
 * ``REPRO_INCREMENTAL`` — ``1`` (default) enables per-trace incremental
   checking: the trace-invariant structure of a candidate execution is
   computed once per trace combination and shared across all rf×co
@@ -15,21 +19,6 @@ benchmark harness):
   against ``acyclic(po-loc | com)``.  ``0`` restores the original
   behaviour (everything recomputed per candidate, complete candidates
   filtered after construction).
-* ``REPRO_CHECK_PLAN`` — ``1`` (default) lets :class:`repro.cat.eval.
-  CatModel` execute checks through the compiled check plan of
-  :mod:`repro.analysis.catir.plan` (shared-subexpression DAG, invariant
-  sub-expressions memoised on the trace skeleton).  ``0`` forces the
-  original statement-walking interpreter.  Models that the plan compiler
-  cannot handle fall back to the interpreter automatically either way.
-* ``REPRO_KERNEL_VM`` — ``1`` (default) lowers each check plan to the
-  relational bytecode of :mod:`repro.kernel.vm` and executes candidates
-  through the register VM (trace-invariant registers computed once per
-  skeleton, word-packed bitset values, no per-node memo dictionaries);
-  it also arms the batched drivers (``verdicts`` early-exit, persistent
-  worker pools).  ``0`` restores the demand-driven plan evaluator and
-  the exhaustive drivers exactly as they behaved before the VM existed.
-  The VM needs the ``bitset`` backend; under ``frozenset`` it falls back
-  to the plan evaluator per execution.
 * ``REPRO_STATIC_VERDICT`` — ``1`` (default) lets the batched drivers
   (:func:`repro.herd.verdicts`, the corpus sweep) consult the symbolic
   critical-cycle prover of :mod:`repro.analysis.symbolic` before
@@ -44,8 +33,8 @@ lookup and one comparison): tests can toggle backends per-case with
 (:func:`set_backend` / the context managers) are process-local *overrides*
 that take precedence over the environment until cleared.
 
-Both switches are observational no-ops: verdicts, witness counts and
-final-state sets are identical under every combination (see
+All three switches are observational no-ops: verdicts, witness counts
+and final-state sets are identical under every combination (see
 ``tests/test_kernel_equiv.py``).
 """
 
@@ -65,15 +54,11 @@ _FALSY = ("0", "false", "no", "off")
 #: Programmatic overrides; ``None`` means "defer to the environment".
 _backend_override: Optional[str] = None
 _incremental_override: Optional[bool] = None
-_check_plan_override: Optional[bool] = None
-_vm_override: Optional[bool] = None
 _static_verdict_override: Optional[bool] = None
 
 #: Last-raw-value parse caches: (raw env string or None, parsed value).
 _backend_env_cache = ("\0unset", BITSET)
 _incremental_env_cache = ("\0unset", True)
-_check_plan_env_cache = ("\0unset", True)
-_vm_env_cache = ("\0unset", True)
 _static_verdict_env_cache = ("\0unset", True)
 
 
@@ -134,52 +119,6 @@ def set_incremental(enabled: Optional[bool]) -> None:
     _incremental_override = None if enabled is None else bool(enabled)
 
 
-def _env_check_plan() -> bool:
-    global _check_plan_env_cache
-    raw = os.environ.get("REPRO_CHECK_PLAN")
-    cached_raw, cached_value = _check_plan_env_cache
-    if raw == cached_raw:
-        return cached_value
-    value = True if raw is None else raw.strip() not in _FALSY
-    _check_plan_env_cache = (raw, value)
-    return value
-
-
-def check_plan_enabled() -> bool:
-    if _check_plan_override is not None:
-        return _check_plan_override
-    return _env_check_plan()
-
-
-def set_check_plan(enabled: Optional[bool]) -> None:
-    """Set a process-local override; ``None`` defers to the environment."""
-    global _check_plan_override
-    _check_plan_override = None if enabled is None else bool(enabled)
-
-
-def _env_vm() -> bool:
-    global _vm_env_cache
-    raw = os.environ.get("REPRO_KERNEL_VM")
-    cached_raw, cached_value = _vm_env_cache
-    if raw == cached_raw:
-        return cached_value
-    value = True if raw is None else raw.strip() not in _FALSY
-    _vm_env_cache = (raw, value)
-    return value
-
-
-def vm_enabled() -> bool:
-    if _vm_override is not None:
-        return _vm_override
-    return _env_vm()
-
-
-def set_vm(enabled: Optional[bool]) -> None:
-    """Set a process-local override; ``None`` defers to the environment."""
-    global _vm_override
-    _vm_override = None if enabled is None else bool(enabled)
-
-
 def _env_static_verdict() -> bool:
     global _static_verdict_env_cache
     raw = os.environ.get("REPRO_STATIC_VERDICT")
@@ -223,28 +162,6 @@ def use_incremental(enabled: bool):
         yield
     finally:
         set_incremental(previous)
-
-
-@contextmanager
-def use_check_plan(enabled: bool):
-    """Temporarily enable/disable the compiled check plan."""
-    previous = _check_plan_override
-    set_check_plan(enabled)
-    try:
-        yield
-    finally:
-        set_check_plan(previous)
-
-
-@contextmanager
-def use_vm(enabled: bool):
-    """Temporarily enable/disable the relational bytecode VM."""
-    previous = _vm_override
-    set_vm(enabled)
-    try:
-        yield
-    finally:
-        set_vm(previous)
 
 
 @contextmanager

@@ -98,8 +98,6 @@ class WorkerPoolError(RuntimeError):
 def _init_worker(
     backend: str,
     incremental: bool,
-    check_plan: bool,
-    vm: bool,
     static_verdict: bool,
     observing: bool,
     fault_spec: Optional[str],
@@ -113,8 +111,6 @@ def _init_worker(
         pass
     _config.set_backend(backend)
     _config.set_incremental(incremental)
-    _config.set_check_plan(check_plan)
-    _config.set_vm(vm)
     _config.set_static_verdict(static_verdict)
     _WORKER_OBSERVING = observing
     _faults.mark_worker_process(fault_spec)
@@ -124,8 +120,6 @@ def _pool_config() -> tuple:
     return (
         _config.backend(),
         _config.incremental_enabled(),
-        _config.check_plan_enabled(),
-        _config.vm_enabled(),
         _config.static_verdict_enabled(),
         _obs.enabled(),
         _faults.raw_spec(),
@@ -610,8 +604,8 @@ def verdicts_parallel(
     """
     from repro.herd import INCONCLUSIVE
 
-    kwargs.setdefault("stop_when_decided", _config.vm_enabled())
-    kwargs.setdefault("verdict_only", _config.vm_enabled())
+    kwargs.setdefault("stop_when_decided", True)
+    kwargs.setdefault("verdict_only", True)
     jobs = max(1, int(jobs))
     budget = _ambient_budget(budget)
 

@@ -1,6 +1,6 @@
 """The relational bytecode VM: batched cross-candidate check execution.
 
-:mod:`repro.analysis.catir.plan` lowers each :class:`CheckPlan` once into
+:mod:`repro.analysis.catir.plan` lowers each compiled cat model once into
 a :class:`VMProgram` — a flat array of instructions over numbered
 registers — and this module executes it per candidate.  Registers hold
 *raw* bitset values (a relation is a list of ``n`` Python ints, row ``i``
@@ -22,13 +22,13 @@ The program is split into two instruction streams:
   of the prelude register file.
 
 ``let rec`` groups become one :data:`FIXPOINT` meta-instruction whose
-per-binding body segments re-run each Gauss–Seidel sweep, mirroring the
-plan evaluator's iteration (bodies in group order, a shared node
-recomputed once per sweep in the segment that first needs it) so the
-fixpoints are value-identical.
+per-binding body segments re-run each Gauss–Seidel sweep (bodies in
+group order, a shared node recomputed once per sweep in the segment that
+first needs it), converging to the same least fixpoint as the
+interpreter's iteration.
 
 Verdicts funnel through :func:`repro.cat.eval.check_axiom` exactly like
-the interpreter and the plan evaluator: the final raw value is wrapped
+the interpreter: the final raw value is wrapped
 back into a :class:`Relation`/:class:`EventSet` only when a check needs a
 witness (the all-clear fast paths answer on the raw rows).
 
@@ -101,7 +101,7 @@ OPNAMES = {
 class Unavailable(Exception):
     """Raised when a base relation has no dense form over the candidate's
     canonical event index (frozenset backend, or stranger events); the
-    caller falls back to the plan evaluator for this execution."""
+    caller falls back to the statement walker for this execution."""
 
 
 #: Cached prelude slot marking "this skeleton cannot run the VM".
@@ -126,13 +126,13 @@ class VMCheck:
 
 
 class VMProgram:
-    """One lowered check plan: two instruction streams plus the checks."""
+    """One lowered model: two instruction streams plus the checks."""
 
     __slots__ = ("token", "name", "names", "prelude", "main", "checks",
                  "n_regs")
 
     def __init__(self, token, name, names, prelude, main, checks, n_regs):
-        #: The owning plan's token (shared-memo / prelude-cache key).
+        #: Process-unique program token (the prelude-cache key).
         self.token = token
         self.name = name
         #: Base identifiers referenced by LOAD_BASE, by operand index.
@@ -395,7 +395,7 @@ def _judge(check: VMCheck, raw, index, universe):
     ``empty``/``irreflexive`` violations — is wrapped back into the
     relation layer and funnelled through :func:`check_axiom`, so those
     witnesses are constructed by exactly the same code as the
-    interpreter and the plan evaluator.
+    interpreter.
     """
     kind = check.kind
     if not check.negated:
@@ -468,9 +468,10 @@ def run_checks(
 ) -> Optional[Tuple[List, List]]:
     """Execute the program for one candidate.
 
-    Returns ``(violations, flags)`` exactly as ``CheckPlan.run`` would,
-    or ``None`` when this execution has no dense relations (the caller
-    falls back to the plan evaluator).
+    Returns ``(violations, flags)`` exactly as the statement walker
+    (:meth:`repro.cat.eval.CatModel._walk`) would, or ``None`` when this
+    execution has no dense relations (the caller falls back to the
+    walker).
     """
     if _guard.ACTIVE:
         _guard._current.tick()  # budget safepoint: one per-candidate VM run

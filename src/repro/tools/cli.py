@@ -121,8 +121,8 @@ def _format_vm_bench(report) -> str:
             lines.append(f"  vm.op.{op.ljust(width)} {hits}")
     else:
         lines.append(
-            "  (no bytecode executed: REPRO_KERNEL_VM=0, frozenset "
-            "backend, or the model fell back to the plan evaluator)"
+            "  (no bytecode executed: frozenset backend, or the model "
+            "fell back to the statement walker)"
         )
     for name in (
         "vm.runs",

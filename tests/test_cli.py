@@ -39,7 +39,13 @@ class TestHerdCli:
         assert out.count("Allow") == 2
 
     def test_bench_flag_prints_vm_opcode_counts(self, capsys):
-        assert herd_main(["--model", "lkmm", "--bench", "MP+wmb+rmb"]) == 0
+        from repro.kernel import config as kconfig
+
+        # The VM checks only bitset relations, whatever the environment.
+        with kconfig.use_backend(kconfig.BITSET):
+            assert herd_main(
+                ["--model", "lkmm", "--bench", "MP+wmb+rmb"]
+            ) == 0
         out = capsys.readouterr().out
         assert "kernel bench:" in out
         assert "vm.op.SEQ" in out
@@ -48,7 +54,7 @@ class TestHerdCli:
     def test_bench_flag_reports_vm_off(self, capsys):
         from repro.kernel import config as kconfig
 
-        with kconfig.use_vm(False):
+        with kconfig.use_backend(kconfig.FROZENSET):
             assert herd_main(
                 ["--model", "lkmm", "--bench", "MP+wmb+rmb"]
             ) == 0

@@ -5,13 +5,14 @@ trace-invariant registers, the verdict-table early exit / verdict-only
 candidate skipping, and persistent worker pools.  None of them may change
 a single observable result:
 
-* a four-way property test runs random diy-generated litmus tests under
-  the VM, the check-plan interpreter (``REPRO_KERNEL_VM=0``), the
-  statement walker (``REPRO_CHECK_PLAN=0``) and the frozenset reference
-  backend, demanding identical run summaries;
-* the frozen golden verdict table must hold with the VM on *and* off;
-* per-candidate ``ModelResult``s (violations, witnesses included) must be
-  identical between the VM and the plan evaluator;
+* a property test runs random diy-generated litmus tests under the VM
+  (the default configuration) and the frozenset reference configuration
+  (statement walker, no incremental checking), demanding identical run
+  summaries;
+* the frozen golden verdict table must hold on the VM lane (``bitset``)
+  and on the walker lane (``frozenset``);
+* per-candidate violations (witnesses included) must be identical
+  between the VM and the statement walker, the reference oracle;
 * the sweep accelerations (early exit, verdict-only skipping) must keep
   every verdict while provably scanning less;
 * unit tests pin the lowered program shape, the popcount fallback and
@@ -41,22 +42,19 @@ from repro.obs import core as obs
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "verdicts_golden.json"
 
-#: The four equivalence lanes: each disables one more layer.
+#: The equivalence lanes: the VM, and the frozenset reference (where the
+#: statement walker answers, with incremental checking off).
 CONFIGS = {
-    "vm": (kconfig.BITSET, True, True, True),
-    "plan": (kconfig.BITSET, True, True, False),
-    "walker": (kconfig.BITSET, True, False, False),
-    "reference": (kconfig.FROZENSET, False, False, False),
+    "vm": (kconfig.BITSET, True),
+    "reference": (kconfig.FROZENSET, False),
 }
 
 
 def _configured(name: str) -> ExitStack:
-    backend, incremental, check_plan, use_vm = CONFIGS[name]
+    backend, incremental = CONFIGS[name]
     stack = ExitStack()
     stack.enter_context(kconfig.use_backend(backend))
     stack.enter_context(kconfig.use_incremental(incremental))
-    stack.enter_context(kconfig.use_check_plan(check_plan))
-    stack.enter_context(kconfig.use_vm(use_vm))
     return stack
 
 
@@ -80,8 +78,7 @@ def lkmm_cat():
 
 
 def test_lowered_program_streams(lkmm_cat):
-    plan = lkmm_cat._check_plan()
-    program = plan.vm_program()
+    program = lkmm_cat._program
     assert program is not None
     assert program.prelude, "lkmm has trace-invariant structure"
     assert program.main, "lkmm has rf/co-dependent structure"
@@ -101,14 +98,14 @@ def test_lowered_program_streams(lkmm_cat):
     assert {"rf", "co"} <= main_loads
     # lkmm's let-rec rcu group lowers to a fixpoint meta-instruction.
     assert any(instr[0] == vm.FIXPOINT for instr in program.main)
-    # Checks keep the plan's order and labels.
+    # Checks keep the compiled model's order and labels.
     assert [c.label for c in program.checks] == [
-        c.label for c in plan.checks
+        c.label for c in lkmm_cat.compiled.checks
     ]
 
 
 def test_program_describe_smoke(lkmm_cat):
-    text = lkmm_cat._check_plan().vm_program().describe()
+    text = lkmm_cat._program.describe()
     assert "prelude" in text and "main" in text
 
 
@@ -117,31 +114,31 @@ def test_program_describe_smoke(lkmm_cat):
 
 @pytest.mark.parametrize("name", ["MP+wmb+rmb", "WRC+wmb+acq", "IRIW+mbs"])
 def test_vm_model_results_identical(lkmm_cat, name):
-    """Violations — axiom names, kinds *and* witnesses — match the plan
-    evaluator on every candidate, not just the allowed bit."""
+    """Violations — axiom names, kinds *and* witnesses — match the
+    statement walker on every candidate, not just the allowed bit."""
     program = library.get(name)
-    for execution in candidate_executions(program):
-        with _configured("vm"):
+    with _configured("vm"):
+        for execution in candidate_executions(program):
             fast = lkmm_cat.check(execution)
-        with _configured("plan"):
-            reference = lkmm_cat.check(execution)
-        assert fast.allowed == reference.allowed
-        assert fast.violations == reference.violations
+            violations, flags = lkmm_cat._walk(execution)
+            assert fast.allowed == (not violations)
+            assert fast.violations == violations
+            assert fast.flags == flags
 
 
 def test_vm_unavailable_on_frozenset_backend(lkmm_cat):
-    """With frozenset relations there are no dense rows: the VM declines
-    and the plan evaluator answers, identically."""
+    """With frozenset relations there are no dense rows: the walker
+    answers, identically to the VM on bitset relations."""
     program = library.get("MP+wmb+rmb")
-    with kconfig.use_backend(kconfig.FROZENSET):
-        with kconfig.use_vm(True):
-            vm_on = _summary(lkmm_cat, program)
-        with kconfig.use_vm(False):
-            vm_off = _summary(lkmm_cat, program)
-    assert vm_on == vm_off
+    with kconfig.use_backend(kconfig.BITSET):
+        on_vm = _summary(lkmm_cat, program)
+    with kconfig.use_backend(kconfig.FROZENSET), obs.collect() as collector:
+        walked = _summary(lkmm_cat, program)
+    assert collector.counters.get("vm.runs", 0) == 0
+    assert on_vm == walked
 
 
-# -- random litmus tests: four-way equivalence -------------------------------
+# -- random litmus tests: VM against the reference ---------------------------
 
 
 @st.composite
@@ -157,7 +154,7 @@ def edge_cycles(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
-def test_random_cycles_four_way_equivalence(edges):
+def test_random_cycles_vm_matches_reference(edges):
     try:
         program = generate(edges)
     except CycleError:
@@ -167,23 +164,21 @@ def test_random_cycles_four_way_equivalence(edges):
     for name in CONFIGS:
         with _configured(name):
             summaries[name] = _summary(model, program)
-    assert (
-        summaries["vm"]
-        == summaries["plan"]
-        == summaries["walker"]
-        == summaries["reference"]
-    )
+    assert summaries["vm"] == summaries["reference"]
 
 
-# -- golden snapshot under both VM lanes -------------------------------------
+# -- golden snapshot on the VM and walker lanes ------------------------------
 
 
 @pytest.mark.parametrize("vm_lane", [False, True])
 def test_golden_verdicts_both_vm_lanes(vm_lane):
+    """``vm_lane`` True checks on the VM (bitset); False on the walker
+    (frozenset), with the sweep defaults unchanged."""
     golden = json.loads(GOLDEN_PATH.read_text())
     models = [load_model(name) for name in golden["models"]]
     programs = [library.get(name) for name in sorted(library.all_names())]
-    with kconfig.use_vm(vm_lane):
+    backend = kconfig.BITSET if vm_lane else kconfig.FROZENSET
+    with kconfig.use_backend(backend):
         computed = verdicts(
             models,
             programs,
@@ -232,14 +227,14 @@ def test_early_exit_stops_at_first_witness(lkmm_cat):
     assert fast.candidates < full.candidates
 
 
-def test_verdicts_gate_on_vm_switch(lkmm_cat):
-    """REPRO_KERNEL_VM=0 restores the exhaustive PR 4 sweep: same
-    verdicts, full candidate scan."""
+def test_verdicts_exhaustive_scan_keeps_verdicts(lkmm_cat):
+    """The early-exit defaults of ``verdicts`` give the verdicts of the
+    exhaustive scan, which explicit arguments still select."""
     programs = [library.get("MP+wmb+rmb"), library.get("WRC+wmb+acq")]
-    with kconfig.use_vm(True):
-        fast = verdicts([lkmm_cat], programs)
-    with kconfig.use_vm(False):
-        slow = verdicts([lkmm_cat], programs)
+    fast = verdicts([lkmm_cat], programs)
+    slow = verdicts(
+        [lkmm_cat], programs, stop_when_decided=False, verdict_only=False
+    )
     assert fast == slow
 
 

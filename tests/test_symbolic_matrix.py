@@ -6,10 +6,7 @@ original per-pair recursive matcher.  Over every critical cycle the
 prover examines — each edge scenario of each test, not only the first
 cycle that decides — both engines must name the same violated check (or
 none), and every bundled model's order table (the linear, ``period=None``
-mode) must come out identical.  The oracle runs once per distinct cycle
-shape (the prover's memo key); every other cycle of that shape must get
-the same label from the matrix engine, which checks that the shape
-captures everything the engine reads.
+mode) must come out identical.  The oracle runs on every cycle visited.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from repro.analysis.symbolic.footprint import (
 from repro.analysis.symbolic.prover import (
     _communication_cycles,
     _cycle_positions,
-    _cycle_shape,
     compiled_model,
 )
 from repro.analysis.symbolic.skeleton import Unsupported, extract_skeleton
@@ -73,10 +69,9 @@ def _cycles(model, program):
 
 
 def _disagreements(cells):
-    """Compare both engines on every distinct cycle shape of ``cells``,
-    and the matrix engine against itself across cycles of equal shape
-    (the prover's memo key); returns (shapes compared, disagreements)."""
-    labels = {}
+    """Compare both engines on every cycle of ``cells``; returns
+    (cycles compared, disagreements)."""
+    compared = 0
     wrong = []
     for label, model, program in cells:
         checks = compiled_model(model).checks
@@ -85,21 +80,16 @@ def _disagreements(cells):
             fast = matrix.violated_check(
                 matrix.Matcher(skeleton, edges, positions, period), checks
             )
-            shape = (id(model), _cycle_shape(skeleton, edges, positions))
-            if shape in labels:
-                expected, source = labels[shape], "same-shape cycle"
-            else:
-                expected = labels[shape] = reference.violated_check(
-                    reference.Matcher(skeleton, edges, positions, period),
-                    checks,
-                )
-                source = "oracle"
+            expected = reference.violated_check(
+                reference.Matcher(skeleton, edges, positions, period), checks
+            )
+            compared += 1
             if fast != expected:
                 cycle = " ".join(event.describe() for event in positions)
                 wrong.append(
-                    f"{label}: [{cycle}] matrix {fast} vs {source} {expected}"
+                    f"{label}: [{cycle}] matrix {fast} vs oracle {expected}"
                 )
-    return len(labels), wrong
+    return compared, wrong
 
 
 def test_library_cycles_agree():
